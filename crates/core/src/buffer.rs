@@ -214,29 +214,31 @@ impl BufferState {
 
     /// Releases held packets whose requirements are met and prunes the
     /// uncommitted set.
+    ///
+    /// One in-order pass: the merged commits do not change while it runs,
+    /// and releasing a packet cannot make an earlier one ready, so the
+    /// release order stays FIFO among ready packets.
     fn sweep(&self, inner: &mut BufInner) {
-        loop {
-            let releasable = inner.held.iter().position(|h| {
-                h.reqs
-                    .iter()
-                    .all(|(m, deps)| self.committed(&inner.commits, *m, deps))
-            });
-            match releasable {
-                Some(i) => {
-                    let h = inner.held.remove(i).expect("indexed");
-                    // I1 observation point: the release rule just claimed
-                    // every requirement is f+1-replicated.
-                    self.probe.observe_with(|| ProbePoint::BufferRelease {
-                        reqs: h
-                            .reqs
-                            .iter()
-                            .map(|(m, deps)| (*m, deps.entries().to_vec()))
-                            .collect(),
-                    });
-                    self.release(h.pkt);
-                }
-                None => break,
+        for _ in 0..inner.held.len() {
+            let h = inner.held.pop_front().expect("counted");
+            let ready = h
+                .reqs
+                .iter()
+                .all(|(m, deps)| self.committed(&inner.commits, *m, deps));
+            if !ready {
+                inner.held.push_back(h);
+                continue;
             }
+            // I1 observation point: the release rule just claimed every
+            // requirement is f+1-replicated.
+            self.probe.observe_with(|| ProbePoint::BufferRelease {
+                reqs: h
+                    .reqs
+                    .iter()
+                    .map(|(m, deps)| (*m, deps.entries().to_vec()))
+                    .collect(),
+            });
+            self.release(h.pkt);
         }
         self.metrics
             .held
@@ -523,6 +525,41 @@ mod tests {
             0,
             "already-committed log releases instantly"
         );
+    }
+
+    #[test]
+    fn sweep_releases_ready_packets_past_a_blocked_one() {
+        let r = rig(2, 1);
+        // Held in order: seq 0 (ready), seq 5 (blocked), seq 1 (ready).
+        for (ident, seq) in [(1, 0), (2, 5), (3, 1)] {
+            let msg = PiggybackMessage {
+                flags: 0,
+                logs: vec![log(1, 0, seq)],
+                commits: vec![],
+            };
+            let mut p = UdpPacketBuilder::new().ident(ident).build();
+            p.attach_piggyback(&msg).unwrap();
+            r.buf.handle_frame(p.into_bytes());
+        }
+        let commit = PiggybackMessage {
+            flags: ftc_packet::piggyback::flags::PROPAGATING,
+            logs: vec![],
+            commits: vec![CommitVector {
+                mbox: MboxId(1),
+                max: vec![2],
+            }],
+        };
+        let prop = ftc_packet::packet::propagating_packet(
+            ftc_packet::ether::MacAddr::from_index(1),
+            ftc_packet::ether::MacAddr::from_index(2),
+            &commit,
+        );
+        r.buf.handle_frame(prop.into_bytes());
+        let idents: Vec<u16> = std::iter::from_fn(|| r.egress.try_recv().ok())
+            .map(|p| p.ipv4().unwrap().ident())
+            .collect();
+        assert_eq!(idents, vec![1, 3]);
+        assert_eq!(r.buf.held_len(), 1, "seq 5 still waits");
     }
 
     #[test]

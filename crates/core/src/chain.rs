@@ -505,6 +505,19 @@ mod tests {
     }
 
     #[test]
+    fn idle_chain_releases_a_write_after_one_propagating_packet() {
+        // m1's log wraps to the forwarder and no carrier follows, so the
+        // propagation timer must send it. The buffer's resend timer is
+        // pushed out of the way: a resend would count a second packet.
+        let cfg = ChainConfig::ch_n(2, 1).with_resend_period(Duration::from_secs(600));
+        let chain = FtcChain::deploy(cfg);
+        chain.inject(pkt(1));
+        let got = chain.egress().collect(1, Duration::from_secs(10));
+        assert_eq!(got.len(), 1);
+        assert_eq!(chain.metrics.snapshot().propagating, 1);
+    }
+
+    #[test]
     fn state_is_replicated_f_plus_1_times() {
         let chain = monitor_chain(3, 1);
         for i in 0..10 {

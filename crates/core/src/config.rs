@@ -22,7 +22,13 @@ pub struct ChainConfig {
     /// plus its knobs (impairments for the in-process backend, socket
     /// options for TCP/UDS).
     pub link: Endpoint,
-    /// Forwarder idle timeout before emitting a propagating packet (§5.1).
+    /// How long pending feedback logs wait for a carrier before the
+    /// forwarder sends them in a propagating packet (§5.1). Counted from
+    /// the later of the oldest pending log's arrival and the last ingress
+    /// packet, by the thread that ingests the buffer's feedback. Default
+    /// 20 µs: a packet crosses an in-process chain in ~100 µs and a busy
+    /// ingress brings a carrier every few tens of µs, so a log that has
+    /// waited this long with no ingress has no carrier coming.
     pub propagate_timeout: Duration,
     /// Buffer resend period for uncommitted wrapped logs (self-healing after
     /// in-flight loss; duplicates are deduplicated by the apply rule).
@@ -73,7 +79,7 @@ impl ChainConfig {
             workers: 1,
             nic_queue_depth: 4096,
             link: Endpoint::in_proc(),
-            propagate_timeout: Duration::from_millis(1),
+            propagate_timeout: Duration::from_micros(20),
             resend_period: Duration::from_millis(10),
             mtu: 9000, // jumbo frames, per §7.2
             engine: EngineKind::from_env().unwrap_or_default(),
@@ -122,8 +128,9 @@ impl ChainConfig {
         self
     }
 
-    /// Sets the forwarder's idle timeout before emitting a propagating
-    /// packet (§5.1).
+    /// Sets how long pending feedback logs wait for a carrier before the
+    /// forwarder sends a propagating packet (§5.1), counted from the later
+    /// of the oldest pending arrival and the last ingress packet.
     pub fn with_propagate_timeout(mut self, timeout: Duration) -> Self {
         self.propagate_timeout = timeout;
         self

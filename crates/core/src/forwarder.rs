@@ -3,8 +3,14 @@
 //! The forwarder "receives incoming packets from the outside world and
 //! piggyback messages from the buffer" and "adds state updates from the
 //! buffer to incoming packets before forwarding the packets to the first
-//! middlebox". During idle periods it emits *propagating packets* so held
-//! state keeps flowing.
+//! middlebox". When no carrier comes for pending logs it emits a
+//! *propagating packet* so held state keeps flowing.
+//!
+//! The propagation timer is event-driven and lives in the thread that
+//! ingests feedback: it sleeps on the feedback link only until
+//! `max(oldest pending arrival, last ingress) + propagate_timeout`, and
+//! not at all for the timer while nothing is pending. The ingress loop
+//! does no timer work.
 
 use crate::journal::{EventKind, EventSource};
 use crate::metrics::ChainMetrics;
@@ -27,10 +33,37 @@ use std::time::{Duration, Instant};
 /// next packet (bounds trailer growth).
 pub const MAX_LOGS_PER_PACKET: usize = 32;
 
+/// How long the forwarder threads block before re-checking that their
+/// server is alive. Not a protocol timer.
+const LIVENESS_POLL: Duration = Duration::from_millis(1);
+
+/// Feedback logs awaiting a carrier, with the stamps the propagation
+/// timer is counted from.
+#[derive(Default)]
+struct Pending {
+    logs: VecDeque<PiggybackLog>,
+    /// Arrival of the oldest log still pending; `None` while empty. After
+    /// a partial drain the stamp stays, so it may be older than the oldest
+    /// remaining log: the timer then fires early, never late.
+    since: Option<Instant>,
+    /// When the last ingress packet passed (it carried whatever was
+    /// pending then).
+    last_ingress: Option<Instant>,
+}
+
+impl Pending {
+    /// When a propagating packet is due: `timeout` after the later of the
+    /// oldest pending arrival and the last ingress packet. `None` while
+    /// nothing is pending.
+    fn due(&self, timeout: Duration) -> Option<Instant> {
+        let since = self.since?;
+        Some(self.last_ingress.map_or(since, |t| t.max(since)) + timeout)
+    }
+}
+
 /// Shared forwarder state.
 pub struct ForwarderState {
-    /// Feedback piggyback logs awaiting a carrier packet.
-    pending: Mutex<VecDeque<PiggybackLog>>,
+    pending: Mutex<Pending>,
     /// Recycled staging vectors for attaching pending logs to carriers:
     /// steady state drains into a pooled vector and returns it after the
     /// trailer is encoded, so per-packet attachment allocates nothing.
@@ -45,7 +78,7 @@ impl ForwarderState {
     /// Creates forwarder state.
     pub fn new(metrics: Arc<ChainMetrics>) -> Arc<ForwarderState> {
         Arc::new(ForwarderState {
-            pending: Mutex::new(VecDeque::new()),
+            pending: Mutex::new(Pending::default()),
             staging: log_vec_pool(8),
             metrics,
             probe: ProbeSlot::new(),
@@ -58,14 +91,21 @@ impl ForwarderState {
     /// never reaches the allocator), then decoded zero-copy: the pended
     /// logs' keys/values share the frame's allocation.
     pub fn ingest_feedback(&self, frame: BytesMut) {
+        self.ingest_feedback_at(frame, Instant::now());
+    }
+
+    fn ingest_feedback_at(&self, frame: BytesMut, now: Instant) {
         if !matches!(TrailerView::parse_trailing(&frame), Ok(Some(_))) {
             return;
         }
         let frame = frame.freeze();
         if let Ok(Some((msg, _))) = PiggybackMessage::decode_trailing_shared(&frame) {
             let mut pending = self.pending.lock();
-            pending.extend(msg.logs);
-            let logs = pending.len();
+            pending.logs.extend(msg.logs);
+            let logs = pending.logs.len();
+            if logs > 0 && pending.since.is_none() {
+                pending.since = Some(now);
+            }
             drop(pending);
             self.probe
                 .observe_with(|| ProbePoint::ForwarderFeedback { logs });
@@ -74,7 +114,14 @@ impl ForwarderState {
 
     /// Number of feedback logs waiting for a carrier.
     pub fn pending_len(&self) -> usize {
-        self.pending.lock().len()
+        self.pending.lock().logs.len()
+    }
+
+    /// When a propagating packet is due if no carrier comes first:
+    /// `timeout` after the later of the oldest pending log's arrival and
+    /// the last ingress packet. `None` while nothing is pending.
+    pub fn propagate_due(&self, timeout: Duration) -> Option<Instant> {
+        self.pending.lock().due(timeout)
     }
 
     /// Discards pending feedback logs. Called when the buffer is respawned
@@ -83,27 +130,39 @@ impl ForwarderState {
     /// sequence numbers will be reissued by the replacement — mixing the
     /// two histories would race stale content against fresh content.
     pub fn clear_pending(&self) {
-        self.pending.lock().clear();
+        let mut pending = self.pending.lock();
+        pending.logs.clear();
+        pending.since = None;
     }
 
     /// Drains up to [`MAX_LOGS_PER_PACKET`] pending logs into a pooled
     /// staging vector for the next carrier packet.
-    fn stage_pending(&self) -> Checkout<Vec<PiggybackLog>> {
+    fn stage(&self, pending: &mut Pending) -> Checkout<Vec<PiggybackLog>> {
         let mut staged = self.staging.checkout();
-        let mut pending = self.pending.lock();
-        let take = pending.len().min(MAX_LOGS_PER_PACKET);
-        staged.extend(pending.drain(..take));
+        let take = pending.logs.len().min(MAX_LOGS_PER_PACKET);
+        staged.extend(pending.logs.drain(..take));
+        if pending.logs.is_empty() {
+            pending.since = None;
+        }
         staged
     }
 
     /// Processes one external packet: attach pending feedback and dispatch
     /// into the first replica's NIC.
     pub fn handle_ingress(&self, frame: BytesMut, nic: &Nic) {
+        self.handle_ingress_at(frame, nic, Instant::now());
+    }
+
+    fn handle_ingress_at(&self, frame: BytesMut, nic: &Nic, now: Instant) {
         let t0 = Instant::now();
         let Ok(mut pkt) = Packet::from_frame(frame) else {
             return; // not IPv4: drop at ingress
         };
-        let staged = self.stage_pending();
+        let staged = {
+            let mut pending = self.pending.lock();
+            pending.last_ingress = Some(now);
+            self.stage(&mut pending)
+        };
         if pkt.attach_piggyback_parts(0, &staged, &[]).is_err() {
             return; // staged logs die with the packet (resent by the buffer)
         }
@@ -116,12 +175,34 @@ impl ForwarderState {
         nic.dispatch(pkt.into_bytes());
     }
 
-    /// Emits a propagating packet if feedback is pending (idle-timer path).
+    /// Emits a propagating packet if feedback is pending, whatever the
+    /// stamps say (`SyncChain`'s `Step::ForwarderTimer`).
     pub fn emit_propagating(&self, nic: &Nic) -> bool {
-        if self.pending.lock().is_empty() {
+        let staged = self.stage(&mut self.pending.lock());
+        self.send_propagating(staged, nic)
+    }
+
+    /// Emits a propagating packet if one is due at `now` (see
+    /// [`propagate_due`](Self::propagate_due)). The due check and the
+    /// drain happen under one lock, so a carrier cannot take the logs in
+    /// between.
+    pub fn propagate_if_due(&self, now: Instant, timeout: Duration, nic: &Nic) -> bool {
+        let staged = {
+            let mut pending = self.pending.lock();
+            match pending.due(timeout) {
+                Some(due) if due <= now => self.stage(&mut pending),
+                _ => return false,
+            }
+        };
+        self.send_propagating(staged, nic)
+    }
+
+    /// Sends `staged` as a propagating packet; an empty stage sends
+    /// nothing.
+    fn send_propagating(&self, staged: Checkout<Vec<PiggybackLog>>, nic: &Nic) -> bool {
+        if staged.is_empty() {
             return false;
         }
-        let staged = self.stage_pending();
         let prop = packet::propagating_packet_from_logs(
             MacAddr::from_index(0xF0),
             MacAddr::from_index(0xF1),
@@ -137,6 +218,9 @@ impl ForwarderState {
 ///
 /// `ingress` carries external traffic; `feedback` carries encoded piggyback
 /// messages from the buffer; both feed `nic` (the first replica's NIC).
+/// The feedback thread also owns the propagation timer (§5.1): "upon the
+/// timeout, the forwarder sends a propagating packet carrying a piggyback
+/// message it has received from the buffer."
 pub fn spawn_forwarder(
     server: &mut ftc_net::Server,
     state: Arc<ForwarderState>,
@@ -150,29 +234,32 @@ pub fn spawn_forwarder(
         let nic = Arc::clone(&nic);
         server.spawn("forwarder", move |alive: AliveToken| {
             while alive.is_alive() {
-                match ingress.recv_timeout(propagate_timeout) {
+                match ingress.recv_timeout(LIVENESS_POLL) {
                     Ok(frame) => state.handle_ingress(frame, &nic),
-                    Err(RecvTimeoutError::Timeout) => {
-                        // §5.1: "upon the timeout, the forwarder sends a
-                        // propagating packet carrying a piggyback message it
-                        // has received from the buffer."
-                        state.emit_propagating(&nic);
-                    }
+                    Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
         });
     }
-    {
-        let state = Arc::clone(&state);
-        server.spawn("forwarder-feedback", move |alive: AliveToken| {
-            while alive.is_alive() {
-                if let Some(frame) = feedback.recv_timeout(Duration::from_millis(1)) {
-                    state.ingest_feedback(frame);
+    server.spawn("forwarder-feedback", move |alive: AliveToken| {
+        while alive.is_alive() {
+            let wait = match state.propagate_due(propagate_timeout) {
+                None => LIVENESS_POLL,
+                Some(due) => {
+                    let now = Instant::now();
+                    if due <= now {
+                        state.propagate_if_due(now, propagate_timeout, &nic);
+                        continue;
+                    }
+                    (due - now).min(LIVENESS_POLL)
                 }
+            };
+            if let Some(frame) = feedback.recv_timeout(wait) {
+                state.ingest_feedback(frame);
             }
-        });
-    }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -249,6 +336,117 @@ mod tests {
         assert!(msg.is_propagating());
         assert_eq!(msg.logs.len(), 2);
         assert_eq!(metrics.propagating.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn emit_on_pre_drained_queue_sends_nothing() {
+        let metrics = Arc::new(ChainMetrics::default());
+        let fwd = ForwarderState::new(Arc::clone(&metrics));
+        let mut nic = Nic::new(1, 64);
+        let rx = nic.take_queue(0);
+        let t0 = Instant::now();
+        let timeout = Duration::from_micros(20);
+        fwd.ingest_feedback_at(feedback_frame(2), t0);
+        // A carrier drains the queue before the timer gets to it.
+        fwd.handle_ingress_at(UdpPacketBuilder::new().build().into_bytes(), &nic, t0);
+        let (_, carried) = take_one(&rx);
+        assert_eq!(carried.logs.len(), 2);
+        assert!(!fwd.emit_propagating(&nic));
+        assert!(!fwd.propagate_if_due(t0 + 10 * timeout, timeout, &nic));
+        assert!(rx.try_recv().is_err(), "no empty propagating packet");
+        assert_eq!(metrics.propagating.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn due_time_counts_from_later_of_arrival_and_last_ingress() {
+        let metrics = Arc::new(ChainMetrics::default());
+        let fwd = ForwarderState::new(Arc::clone(&metrics));
+        let mut nic = Nic::new(1, 64);
+        let rx = nic.take_queue(0);
+        let t0 = Instant::now();
+        let timeout = Duration::from_micros(20);
+        let us = Duration::from_micros;
+
+        // Ingress before the log arrived: the arrival is the later stamp.
+        fwd.handle_ingress_at(UdpPacketBuilder::new().build().into_bytes(), &nic, t0);
+        let _ = take_one(&rx);
+        fwd.ingest_feedback_at(feedback_frame(3), t0 + us(10));
+        assert_eq!(fwd.propagate_due(timeout), Some(t0 + us(10) + timeout));
+        assert!(fwd.emit_propagating(&nic));
+        let _ = take_one(&rx);
+        assert_eq!(fwd.propagate_due(timeout), None);
+
+        // A carrier that leaves a remainder: the ingress is the later
+        // stamp, so the timer restarts from it.
+        fwd.ingest_feedback_at(feedback_frame(MAX_LOGS_PER_PACKET + 8), t0 + us(100));
+        fwd.handle_ingress_at(
+            UdpPacketBuilder::new().build().into_bytes(),
+            &nic,
+            t0 + us(150),
+        );
+        let _ = take_one(&rx);
+        let due = t0 + us(150) + timeout;
+        assert_eq!(fwd.propagate_due(timeout), Some(due));
+        assert!(!fwd.propagate_if_due(due - Duration::from_nanos(1), timeout, &nic));
+        assert!(fwd.propagate_if_due(due, timeout, &nic));
+        let (_, msg) = take_one(&rx);
+        assert!(msg.is_propagating());
+        assert_eq!(msg.logs.len(), 8);
+        assert_eq!(metrics.propagating.load(Ordering::Relaxed), 2);
+        assert_eq!(fwd.propagate_due(timeout), None);
+    }
+
+    #[test]
+    fn carrier_inside_window_preempts_propagation() {
+        let metrics = Arc::new(ChainMetrics::default());
+        let fwd = ForwarderState::new(Arc::clone(&metrics));
+        let mut nic = Nic::new(1, 64);
+        let rx = nic.take_queue(0);
+        let t0 = Instant::now();
+        let timeout = Duration::from_micros(20);
+        fwd.ingest_feedback_at(feedback_frame(2), t0);
+        fwd.handle_ingress_at(
+            UdpPacketBuilder::new().build().into_bytes(),
+            &nic,
+            t0 + timeout / 2,
+        );
+        let (_, msg) = take_one(&rx);
+        assert!(!msg.is_propagating());
+        assert_eq!(msg.logs.len(), 2);
+        for late in [timeout, 10 * timeout] {
+            assert!(!fwd.propagate_if_due(t0 + late, timeout, &nic));
+        }
+        assert!(rx.try_recv().is_err());
+        assert_eq!(metrics.propagating.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn clear_pending_clears_arrival_stamp() {
+        let fwd = ForwarderState::new(Arc::new(ChainMetrics::default()));
+        let t0 = Instant::now();
+        let timeout = Duration::from_micros(20);
+        fwd.ingest_feedback_at(feedback_frame(2), t0);
+        fwd.clear_pending();
+        assert_eq!(fwd.propagate_due(timeout), None);
+        let t1 = t0 + Duration::from_millis(5);
+        fwd.ingest_feedback_at(feedback_frame(1), t1);
+        assert_eq!(fwd.propagate_due(timeout), Some(t1 + timeout));
+    }
+
+    #[test]
+    fn nothing_pending_has_no_due_time() {
+        let metrics = Arc::new(ChainMetrics::default());
+        let fwd = ForwarderState::new(Arc::clone(&metrics));
+        let mut nic = Nic::new(1, 64);
+        let rx = nic.take_queue(0);
+        let t0 = Instant::now();
+        let timeout = Duration::from_micros(20);
+        assert_eq!(fwd.propagate_due(timeout), None);
+        fwd.handle_ingress_at(UdpPacketBuilder::new().build().into_bytes(), &nic, t0);
+        let _ = take_one(&rx);
+        assert_eq!(fwd.propagate_due(timeout), None);
+        assert!(!fwd.propagate_if_due(t0 + Duration::from_secs(1), timeout, &nic));
+        assert_eq!(metrics.propagating.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -41,7 +41,11 @@ pub enum Step {
     Replica(usize),
     /// Deliver pending feedback to the forwarder.
     ForwarderFeedback,
-    /// Fire the forwarder's idle timer (propagating packet).
+    /// Fire the forwarder's propagation timer: send a propagating packet
+    /// whenever logs are pending. This over-approximates the runtime rule
+    /// (which sends only once the logs have waited `propagate_timeout`
+    /// past the later of their arrival and the last ingress packet), so
+    /// the explored schedules include every runtime one.
     ForwarderTimer,
     /// Process one frame at the buffer.
     Buffer,

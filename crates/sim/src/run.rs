@@ -490,6 +490,9 @@ fn walk_ftc(
 /// Resolves FTC buffer releases: a packet carrying wrapped writers' logs is
 /// withheld until a later *carrier* packet (or a propagating packet) brings
 /// the commit vector back around the ring (paper §5.1).
+/// Same rule as the runtime forwarder: a carrier within the timeout of the
+/// feedback takes the logs, else a propagating packet goes (the 1 ms
+/// timeout models the paper's testbed).
 fn ftc_releases(cfg: &SimConfig, f: usize, arrivals: &[SimNs], exits: &[SimNs]) -> Vec<SimNs> {
     let n = cfg.chain.len();
     let c = &cfg.cost;
