@@ -25,10 +25,8 @@ pub struct ChainConfig {
     /// How long pending feedback logs wait for a carrier before the
     /// forwarder sends them in a propagating packet (§5.1). Counted from
     /// the later of the oldest pending log's arrival and the last ingress
-    /// packet, by the thread that ingests the buffer's feedback. Default
-    /// 20 µs: a packet crosses an in-process chain in ~100 µs and a busy
-    /// ingress brings a carrier every few tens of µs, so a log that has
-    /// waited this long with no ingress has no carrier coming.
+    /// packet, by the thread that ingests the buffer's feedback. Defaults
+    /// to [`ChainConfig::default_propagate_timeout`] of `link`.
     pub propagate_timeout: Duration,
     /// Buffer resend period for uncommitted wrapped logs (self-healing after
     /// in-flight loss; duplicates are deduplicated by the apply rule).
@@ -79,7 +77,7 @@ impl ChainConfig {
             workers: 1,
             nic_queue_depth: 4096,
             link: Endpoint::in_proc(),
-            propagate_timeout: Duration::from_micros(20),
+            propagate_timeout: Self::default_propagate_timeout(&Endpoint::in_proc()),
             resend_period: Duration::from_millis(10),
             mtu: 9000, // jumbo frames, per §7.2
             engine: EngineKind::from_env().unwrap_or_default(),
@@ -98,8 +96,29 @@ impl ChainConfig {
         self
     }
 
-    /// Sets the inter-server link endpoint (backend and its knobs).
+    /// The propagation timeout a chain whose hops use `link` gets by
+    /// default. In-process: 20 µs. A packet crosses an in-process chain in
+    /// ~100 µs and a busy ingress brings a carrier every few tens of µs, so
+    /// a log that has waited this long with no ingress has no carrier
+    /// coming. Sockets: 1 ms. Every propagating packet costs a socket
+    /// send and receive in each process it crosses; at 20 µs a
+    /// two-Monitor chain over Unix sockets sent ~40× as many of them
+    /// (~0.2 per packet) for no gain in throughput.
+    pub fn default_propagate_timeout(link: &Endpoint) -> Duration {
+        if link.is_sock() {
+            Duration::from_millis(1)
+        } else {
+            Duration::from_micros(20)
+        }
+    }
+
+    /// Sets the inter-server link endpoint (backend and its knobs). A
+    /// propagation timeout still at the old link's default moves to the
+    /// new link's; one set explicitly is kept.
     pub fn with_link(mut self, link: Endpoint) -> Self {
+        if self.propagate_timeout == Self::default_propagate_timeout(&self.link) {
+            self.propagate_timeout = Self::default_propagate_timeout(&link);
+        }
         self.link = link;
         self
     }
@@ -326,6 +345,21 @@ mod tests {
         assert_eq!(cfg.resend_period, Duration::from_millis(20));
         assert_eq!(cfg.link.loss(), 0.01);
         assert_eq!(cfg.link.seed(), 7);
+    }
+
+    #[test]
+    fn propagate_timeout_follows_link_kind_unless_set() {
+        let sock = Endpoint::sock(ftc_net::PeerAddr::Uds("/nonexistent/ftc.sock".into()));
+        let cfg = ChainConfig::ch_n(2, 1);
+        assert_eq!(cfg.propagate_timeout, Duration::from_micros(20));
+        let cfg = cfg.with_link(sock.clone());
+        assert_eq!(cfg.propagate_timeout, Duration::from_millis(1));
+        let cfg = cfg.with_link(Endpoint::in_proc());
+        assert_eq!(cfg.propagate_timeout, Duration::from_micros(20));
+        let cfg = ChainConfig::ch_n(2, 1)
+            .with_propagate_timeout(Duration::from_micros(300))
+            .with_link(sock);
+        assert_eq!(cfg.propagate_timeout, Duration::from_micros(300));
     }
 
     #[test]

@@ -158,11 +158,11 @@ impl ForwarderState {
         let Ok(mut pkt) = Packet::from_frame(frame) else {
             return; // not IPv4: drop at ingress
         };
-        let staged = {
-            let mut pending = self.pending.lock();
-            pending.last_ingress = Some(now);
-            self.stage(&mut pending)
-        };
+        // Drain and dispatch under one lock, as propagating packets do:
+        // logs enter the NIC in the order they left the queue.
+        let mut pending = self.pending.lock();
+        pending.last_ingress = Some(now);
+        let staged = self.stage(&mut pending);
         if pkt.attach_piggyback_parts(0, &staged, &[]).is_err() {
             return; // staged logs die with the packet (resent by the buffer)
         }
@@ -175,34 +175,19 @@ impl ForwarderState {
         nic.dispatch(pkt.into_bytes());
     }
 
-    /// Emits a propagating packet if feedback is pending, whatever the
-    /// stamps say (`SyncChain`'s `Step::ForwarderTimer`).
-    pub fn emit_propagating(&self, nic: &Nic) -> bool {
-        let staged = self.stage(&mut self.pending.lock());
-        self.send_propagating(staged, nic)
-    }
-
     /// Emits a propagating packet if one is due at `now` (see
-    /// [`propagate_due`](Self::propagate_due)). The due check and the
-    /// drain happen under one lock, so a carrier cannot take the logs in
-    /// between.
+    /// [`propagate_due`](Self::propagate_due)); a zero `timeout` sends
+    /// whatever is pending. The due check, the drain and the dispatch
+    /// happen under one lock, so a carrier can neither take the logs in
+    /// between nor overtake the propagating packet into the NIC.
     pub fn propagate_if_due(&self, now: Instant, timeout: Duration, nic: &Nic) -> bool {
-        let staged = {
-            let mut pending = self.pending.lock();
-            match pending.due(timeout) {
-                Some(due) if due <= now => self.stage(&mut pending),
-                _ => return false,
-            }
-        };
-        self.send_propagating(staged, nic)
-    }
-
-    /// Sends `staged` as a propagating packet; an empty stage sends
-    /// nothing.
-    fn send_propagating(&self, staged: Checkout<Vec<PiggybackLog>>, nic: &Nic) -> bool {
-        if staged.is_empty() {
-            return false;
+        let mut pending = self.pending.lock();
+        match pending.due(timeout) {
+            Some(due) if due <= now => {}
+            _ => return false,
         }
+        let staged = self.stage(&mut pending);
+        debug_assert!(!staged.is_empty(), "a due time implies pending logs");
         let prop = packet::propagating_packet_from_logs(
             MacAddr::from_index(0xF0),
             MacAddr::from_index(0xF1),
@@ -329,9 +314,13 @@ mod tests {
         let fwd = ForwarderState::new(Arc::clone(&metrics));
         let mut nic = Nic::new(1, 64);
         let rx = nic.take_queue(0);
-        assert!(!fwd.emit_propagating(&nic), "nothing pending: no packet");
+        let now = Instant::now;
+        assert!(
+            !fwd.propagate_if_due(now(), Duration::ZERO, &nic),
+            "nothing pending: no packet"
+        );
         fwd.ingest_feedback(feedback_frame(2));
-        assert!(fwd.emit_propagating(&nic));
+        assert!(fwd.propagate_if_due(now(), Duration::ZERO, &nic));
         let (_, msg) = take_one(&rx);
         assert!(msg.is_propagating());
         assert_eq!(msg.logs.len(), 2);
@@ -351,7 +340,7 @@ mod tests {
         fwd.handle_ingress_at(UdpPacketBuilder::new().build().into_bytes(), &nic, t0);
         let (_, carried) = take_one(&rx);
         assert_eq!(carried.logs.len(), 2);
-        assert!(!fwd.emit_propagating(&nic));
+        assert!(!fwd.propagate_if_due(t0, Duration::ZERO, &nic));
         assert!(!fwd.propagate_if_due(t0 + 10 * timeout, timeout, &nic));
         assert!(rx.try_recv().is_err(), "no empty propagating packet");
         assert_eq!(metrics.propagating.load(Ordering::Relaxed), 0);
@@ -372,7 +361,7 @@ mod tests {
         let _ = take_one(&rx);
         fwd.ingest_feedback_at(feedback_frame(3), t0 + us(10));
         assert_eq!(fwd.propagate_due(timeout), Some(t0 + us(10) + timeout));
-        assert!(fwd.emit_propagating(&nic));
+        assert!(fwd.propagate_if_due(t0 + us(10) + timeout, timeout, &nic));
         let _ = take_one(&rx);
         assert_eq!(fwd.propagate_due(timeout), None);
 

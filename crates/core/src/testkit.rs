@@ -31,7 +31,7 @@ use ftc_packet::Packet;
 use ftc_stm::PartitionExport;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Components that can be stepped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,7 +230,10 @@ impl SyncChain {
                 }
                 None => false,
             },
-            Step::ForwarderTimer => self.forwarder.emit_propagating(&self.nics[0]),
+            Step::ForwarderTimer => {
+                self.forwarder
+                    .propagate_if_due(Instant::now(), Duration::ZERO, &self.nics[0])
+            }
             Step::Buffer => match self.buffer_in.recv_timeout(Duration::ZERO) {
                 Some(frame) => {
                     self.buffer.handle_frame(frame);

@@ -482,16 +482,19 @@ impl ProcChain {
     /// (forwarder → replica 0, tail replica → buffer).
     pub fn deploy(pc: ProcConfig) -> Result<ProcChain, String> {
         let specs = parse_chain(&pc.chain).map_err(|e| format!("chain spec: {e}"))?;
+        let local = parent_addr(&pc.dir);
+        // The hops are sockets: the link (and with it the propagation
+        // timeout) says so.
         let cfg = Arc::new(
             ChainConfig::new(specs)
                 .with_f(pc.f)
-                .with_workers(pc.workers),
+                .with_workers(pc.workers)
+                .with_link(Endpoint::sock(local.clone())),
         );
         cfg.validate();
         let n = cfg.effective_middleboxes().len();
         std::fs::create_dir_all(&pc.dir).map_err(|e| format!("creating {:?}: {e}", pc.dir))?;
 
-        let local = parent_addr(&pc.dir);
         let node = SockNode::bind(&local).map_err(|e| format!("binding {local}: {e}"))?;
         let transport = SockTransport::new(node.clone());
         let local_ep = Endpoint::sock(local);
