@@ -120,7 +120,7 @@ impl ForwarderState {
     /// When a propagating packet is due if no carrier comes first:
     /// `timeout` after the later of the oldest pending log's arrival and
     /// the last ingress packet. `None` while nothing is pending.
-    pub fn propagate_due(&self, timeout: Duration) -> Option<Instant> {
+    fn propagate_due(&self, timeout: Duration) -> Option<Instant> {
         self.pending.lock().due(timeout)
     }
 
@@ -175,9 +175,10 @@ impl ForwarderState {
         nic.dispatch(pkt.into_bytes());
     }
 
-    /// Emits a propagating packet if one is due at `now` (see
-    /// [`propagate_due`](Self::propagate_due)); a zero `timeout` sends
-    /// whatever is pending. The due check, the drain and the dispatch
+    /// Emits a propagating packet if one is due at `now`: logs are
+    /// pending and `timeout` has passed since the later of the oldest
+    /// pending log's arrival and the last ingress packet. A zero
+    /// `timeout` sends whatever is pending. The due check, the drain and the dispatch
     /// happen under one lock, so a carrier can neither take the logs in
     /// between nor overtake the propagating packet into the NIC.
     pub fn propagate_if_due(&self, now: Instant, timeout: Duration, nic: &Nic) -> bool {
